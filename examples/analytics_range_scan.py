@@ -58,10 +58,10 @@ def main() -> None:
     )
     mounted.fs.device.stats.reset()
     db.execute("SELECT idx FROM tbl")
-    narrow = mounted.fs.device.stats.bytes_read
+    narrow = mounted.fs.device.stats.snapshot().bytes_read
     mounted.fs.device.stats.reset()
     db.execute("SELECT * FROM tbl")
-    wide = mounted.fs.device.stats.bytes_read
+    wide = mounted.fs.device.stats.snapshot().bytes_read
     print(f"\ncolumn pruning: SELECT idx reads {narrow} bytes, "
           f"SELECT * reads {wide} bytes")
 

@@ -9,8 +9,7 @@ enforce it:
 strictly higher rank is a violation.  Additionally the *consumer*
 packages (``repro.databases``, ``repro.workloads``) may not import
 ``repro.storage.block_device`` or engine internals at all — their whole
-engine surface is ``repro.core.api`` plus the VFS
-(``repro.fs.vfs`` / ``repro.fs.compressfs``).
+engine surface is the VFS (``repro.fs.vfs`` / ``repro.fs.compressfs``).
 
 **Exceptions.**  The VFS boundary speaks errno
 (:mod:`repro.fs.errors`): a ``FileSystem`` storage primitive or
@@ -35,7 +34,6 @@ from repro.analysis.symbols import dotted_name
 LAYER_RANKS = {
     "repro.obs": 0,
     "repro.storage": 0,
-    "repro.journal": 0,
     "repro.compression": 0,
     "repro.analysis": 0,
     "repro.succinct": 1,
@@ -61,7 +59,6 @@ _CONSUMER_PACKAGES = ("repro.databases", "repro.workloads")
 
 #: What the consumer packages may use from below the VFS.
 _CONSUMER_ALLOWED_PREFIXES = (
-    "repro.core.api",
     "repro.fs.",
     "repro.obs",  # observability, not a data path
     "repro.storage.simclock",  # timing/cost model, not a data path
@@ -141,8 +138,7 @@ class LayeringChecker(Checker):
     severity = Severity.ERROR
     description = (
         "layer cake: no imports from higher layers; databases/workloads "
-        "only use repro.core.api + the VFS; only repro.fs.errors types "
-        "cross the VFS boundary"
+        "only use the VFS; only repro.fs.errors types cross the VFS boundary"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -184,8 +180,7 @@ class LayeringChecker(Checker):
                         ctx,
                         imp_node,
                         f"{ctx.module} reaches the engine through {target} — "
-                        "databases/workloads may only use repro.core.api "
-                        "and the VFS (repro.fs)",
+                        "databases/workloads may only use the VFS (repro.fs)",
                     )
 
     @staticmethod

@@ -22,9 +22,6 @@ snapshot-isolated MVCC transaction scope), ``client.sql`` /
 ``client.search`` / ``client.count`` (compressed-domain pushdown) —
 and raise the same exception types, because the wire protocol maps
 every failure onto the stable code table in :mod:`repro.fs.errors`.
-
-The legacy entry points (:class:`repro.core.api.DirectAPI` and the
-socket pair) keep working but are deprecated in favour of this module.
 """
 
 from __future__ import annotations

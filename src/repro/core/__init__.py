@@ -3,13 +3,12 @@
 Public surface:
 
 * :class:`~repro.core.engine.CompressDB` — the storage engine;
-* :class:`~repro.core.api.DirectAPI` /
-  :class:`~repro.core.api.SocketServer` /
-  :class:`~repro.core.api.SocketClient` — the non-POSIX operation APIs;
+* :class:`~repro.core.operations.OperationModule` — the non-POSIX
+  pushdown operations (insert, delete, search, count, …), reached by
+  clients through :func:`repro.api.connect` or ``CompressFS.ops``;
 * the data-structure module pieces for inspection and benchmarking.
 """
 
-from repro.core.api import APIError, DirectAPI, SocketClient, SocketServer
 from repro.core.compressor import Compressor, CompressorStats
 from repro.core.engine import (
     BlockHandle,
@@ -24,14 +23,12 @@ from repro.core.operations import OperationError, OperationModule, OperationStat
 from repro.core.refcount import BlockRefCount
 
 __all__ = [
-    "APIError",
     "BlockHandle",
     "BlockHashTable",
     "BlockRefCount",
     "CompressDB",
     "Compressor",
     "CompressorStats",
-    "DirectAPI",
     "FileExistsInEngine",
     "FileNotFoundInEngine",
     "Hole",
@@ -40,7 +37,5 @@ __all__ = [
     "OperationModule",
     "OperationStats",
     "PersistenceError",
-    "SocketClient",
-    "SocketServer",
     "hash_block",
 ]

@@ -51,6 +51,39 @@ class Cluster:
         return self.logical_bytes() / physical
 
 
+def _chunkservers(
+    nodes: int,
+    compressed: bool,
+    block_size: int,
+    device_profile: DeviceProfile,
+    durable: bool,
+    domains: dict[str, str],
+) -> tuple[SimClock, Observability, StatsRegistry, dict[str, ChunkServer]]:
+    """The part both builders share: one clock, one observability
+    bundle, one stats directory and ``nodes`` chunk servers named
+    ``node0..``, labelled with their entry in ``domains`` if any."""
+    if nodes < 1:
+        raise ValueError("a cluster needs at least one node")
+    clock = SimClock()
+    obs = Observability(clock=clock)
+    stats = StatsRegistry(metrics=obs.registry)
+    servers: dict[str, ChunkServer] = {}
+    for index in range(nodes):
+        name = f"node{index}"
+        servers[name] = ChunkServer(
+            name,
+            clock=clock,
+            compressed=compressed,
+            block_size=block_size,
+            profile=device_profile,
+            stats=stats.register(name, prefix=f"cluster.{name}.device"),
+            durable=durable,
+            obs=obs,
+            domain=domains.get(name, ""),
+        )
+    return clock, obs, stats, servers
+
+
 def build_cluster(
     nodes: int = 5,
     compressed: bool = True,
@@ -71,24 +104,9 @@ def build_cluster(
     mounts each server's engine behind the journal (group commit after
     every mutating RPC), as the crash-consistency experiments do.
     """
-    if nodes < 1:
-        raise ValueError("a cluster needs at least one node")
-    clock = SimClock()
-    obs = Observability(clock=clock)
-    stats = StatsRegistry(metrics=obs.registry)
-    servers: dict[str, ChunkServer] = {}
-    for index in range(nodes):
-        name = f"node{index}"
-        servers[name] = ChunkServer(
-            name,
-            clock=clock,
-            compressed=compressed,
-            block_size=block_size,
-            profile=device_profile,
-            stats=stats.register(name, prefix=f"cluster.{name}.device"),
-            durable=durable,
-            obs=obs,
-        )
+    clock, obs, stats, servers = _chunkservers(
+        nodes, compressed, block_size, device_profile, durable, {}
+    )
     master = Master(list(servers), chunk_capacity=chunk_capacity, replication=replication)
     client = ClusterClient(
         master, servers, clock=clock, network=network, pushdown=pushdown, obs=obs
@@ -142,30 +160,15 @@ def build_replicated_cluster(
     replicas across; ``racks == 0`` leaves servers unlabelled (each is
     its own domain).
     """
-    if nodes < 1:
-        raise ValueError("a cluster needs at least one node")
     config = raft_config if raft_config is not None else RaftConfig()
-    clock = SimClock()
-    obs = Observability(clock=clock)
-    stats = StatsRegistry(metrics=obs.registry)
-    domains: dict[str, str] = {}
-    servers: dict[str, ChunkServer] = {}
-    for index in range(nodes):
-        name = f"node{index}"
-        domain = f"rack{index % racks}" if racks > 0 else ""
-        if domain:
-            domains[name] = domain
-        servers[name] = ChunkServer(
-            name,
-            clock=clock,
-            compressed=compressed,
-            block_size=block_size,
-            profile=device_profile,
-            stats=stats.register(name, prefix=f"cluster.{name}.device"),
-            durable=durable,
-            obs=obs,
-            domain=domain,
-        )
+    domains = (
+        {f"node{index}": f"rack{index % racks}" for index in range(nodes)}
+        if racks > 0
+        else {}
+    )
+    clock, obs, stats, servers = _chunkservers(
+        nodes, compressed, block_size, device_profile, durable, domains
+    )
     lock = tracked_lock("master.group.lock", rank=0)
     groups: list[MasterGroup] = []
     facades: dict[str, ReplicatedMaster] = {}

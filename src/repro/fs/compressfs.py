@@ -4,8 +4,8 @@ This is the integration of Section 4.1/5: databases "set the system
 directory" to a CompressDB mount and their ``read``/``write`` system
 calls are handled by the engine, gaining compressed-data direct
 processing transparently.  The extra non-POSIX operations are available
-through :attr:`CompressFS.ops` (in-process) or the unix-socket API of
-:mod:`repro.core.api`.
+in-process through :attr:`CompressFS.ops`; ``search`` and ``count`` also
+travel over the serving layer's protocol v1 (:func:`repro.api.connect`).
 """
 
 from __future__ import annotations

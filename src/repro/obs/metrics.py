@@ -73,9 +73,8 @@ class Counter:
     def force(self, value: int) -> None:
         """Set the counter to an absolute value.
 
-        The sanctioned escape hatch for ``reset()`` and the legacy
-        attribute shims (:mod:`repro.obs.compat`); ordinary code must
-        only :meth:`inc`.
+        The sanctioned escape hatch for the stats facades' ``reset()``;
+        ordinary code must only :meth:`inc`.
         """
         if value < 0:
             raise ValueError(f"counter {self.name}: cannot force to {value} < 0")

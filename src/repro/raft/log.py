@@ -342,7 +342,13 @@ class RaftLog:
             position += 1 + count
 
     def _read_block(self, block_no: int) -> bytes | None:
-        try:
-            return self.device.read_block(block_no)
-        except Exception:
+        """The block's bytes, or ``None`` past the end of the device.
+
+        Only running off the end means "end of log".  Any other read
+        failure propagates: treating a failed read of block 0 as an
+        empty log would forget ``(current_term, voted_for)`` and let
+        the node vote twice in one term.
+        """
+        if block_no >= self.device.total_blocks:
             return None
+        return self.device.read_block(block_no)

@@ -19,8 +19,7 @@ request or response — is one **frame**::
 Payloads are dictionaries serialized with a small deterministic tagged
 binary encoding (:func:`pack_payload` / :func:`unpack_payload`) that
 carries ``bytes`` natively — file contents and key-value pairs never
-pay a hex/base64 detour like the legacy JSON protocol of
-:mod:`repro.core.api` does.
+pay a hex/base64 detour.
 
 The opcode set is **versioned**: :data:`OPCODES` is protocol v1 and is
 append-only.  It covers the VFS surface, MVCC session control, the

@@ -40,29 +40,29 @@ class TestReadBlocks:
         blocks = [device.allocate() for __ in range(4)]
         device.stats.reset()
         device.read_blocks(blocks)
-        assert device.stats.batched_reads == 1
-        assert device.stats.batched_blocks_read == 4
-        assert device.stats.block_reads == 4
+        assert device.stats.snapshot().batched_reads == 1
+        assert device.stats.snapshot().batched_blocks_read == 4
+        assert device.stats.snapshot().block_reads == 4
 
     def test_single_block_read_is_not_batched(self, device):
         block = device.allocate()
         device.stats.reset()
         device.read_blocks([block])
-        assert device.stats.batched_reads == 0
-        assert device.stats.block_reads == 1
+        assert device.stats.snapshot().batched_reads == 0
+        assert device.stats.snapshot().block_reads == 1
 
     def test_duplicate_misses_are_fetched_once(self, device):
         block = device.allocate()
         device.stats.reset()
         device.read_blocks([block, block, block])
-        assert device.stats.block_reads == 1
+        assert device.stats.snapshot().block_reads == 1
 
     def test_invalid_block_in_batch_raises(self, device):
         block = device.allocate()
         device.stats.reset()
         with pytest.raises(BlockDeviceError):
             device.read_blocks([block, block + 7])
-        assert device.stats.block_reads == 0  # validated before any transfer
+        assert device.stats.snapshot().block_reads == 0  # validated before any transfer
 
     def test_batch_pays_one_seek(self):
         clock = SimClock()
@@ -94,9 +94,9 @@ class TestWriteBlocks:
         blocks = [device.allocate() for __ in range(3)]
         device.stats.reset()
         device.write_blocks([(block, b"x") for block in blocks])
-        assert device.stats.batched_writes == 1
-        assert device.stats.batched_blocks_written == 3
-        assert device.stats.block_writes == 3
+        assert device.stats.snapshot().batched_writes == 1
+        assert device.stats.snapshot().batched_blocks_written == 3
+        assert device.stats.snapshot().block_writes == 3
 
     def test_oversized_write_rejected_before_any_byte_lands(self, device):
         blocks = [device.allocate() for __ in range(2)]
@@ -149,8 +149,8 @@ class TestStoreMany:
         )
         assert slots[0].block_no == slots[1].block_no
         assert slots[2].block_no != slots[0].block_no
-        assert engine.compressor.stats.dedup_hits == 1
-        assert engine.compressor.stats.fresh_allocations == 2
+        assert engine.compressor.stats.snapshot()["dedup_hits"] == 1
+        assert engine.compressor.stats.snapshot()["fresh_allocations"] == 2
 
     def test_batch_matches_existing_blocks(self, engine):
         engine.create("/f")
@@ -207,8 +207,8 @@ class TestWriteCoalescing:
         for i in range(4):
             engine.write("/f", i * 64, bytes([i]) * 64)
         # The fourth write crosses the 4-block threshold: one batch.
-        assert engine.device.stats.batched_writes == 1
-        assert engine.device.stats.batched_blocks_written == 4
+        assert engine.device.stats.snapshot().batched_writes == 1
+        assert engine.device.stats.snapshot().batched_blocks_written == 4
         assert engine.read("/f", 0, 256) == b"".join(
             bytes([i]) * 64 for i in range(4)
         )
@@ -217,9 +217,9 @@ class TestWriteCoalescing:
         engine = self._engine()
         engine.create("/f")
         engine.write("/f", 0, b"hello")
-        writes_before = engine.device.stats.block_writes
+        writes_before = engine.device.stats.snapshot().block_writes
         assert engine.file_size("/f") == 5
-        assert engine.device.stats.block_writes == writes_before
+        assert engine.device.stats.snapshot().block_writes == writes_before
 
     def test_read_observes_pending_appends(self):
         engine = self._engine()

@@ -33,10 +33,10 @@ class TestGetRelease:
         engine_with_file.check_invariants()
 
     def test_release_unchanged_is_noop(self, engine_with_file):
-        writes_before = engine_with_file.device.stats.block_writes
+        writes_before = engine_with_file.device.stats.snapshot().block_writes
         handle = engine_with_file.get_block("/f", 0)
         engine_with_file.release_block(handle)
-        assert engine_with_file.device.stats.block_writes == writes_before
+        assert engine_with_file.device.stats.snapshot().block_writes == writes_before
 
     def test_release_can_shrink_block(self, engine_with_file):
         handle = engine_with_file.get_block("/f", 2)

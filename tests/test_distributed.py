@@ -200,7 +200,7 @@ class TestCluster:
     def test_stats_registry_tracks_all_nodes(self):
         cluster = build_cluster(nodes=4)
         cluster.client.write_file("/f", b"x" * 5000)
-        assert cluster.stats.aggregate().block_writes > 0
+        assert cluster.stats.total().block_writes > 0
 
 
 class TestAggregatePushdown:

@@ -1,4 +1,4 @@
-"""Unit tests for the write-ahead journal (repro.journal / repro.storage.journal).
+"""Unit tests for the write-ahead journal (repro.storage.journal).
 
 Covers the record format round trip, torn-tail detection in
 :meth:`Journal.recover`, replay idempotency, the staged-transaction
@@ -8,7 +8,7 @@ ordering.
 
 import pytest
 
-from repro.journal import (
+from repro.storage.journal import (
     Journal,
     JournalDevice,
     JournalError,

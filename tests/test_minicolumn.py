@@ -86,10 +86,10 @@ class TestColumnarAccess:
         insert_rows(db, 200)
         db.fs.device.stats.reset()
         db.execute("SELECT idx FROM t")
-        pruned = db.fs.device.stats.bytes_read
+        pruned = db.fs.device.stats.snapshot().bytes_read
         db.fs.device.stats.reset()
         db.execute("SELECT * FROM t")
-        full = db.fs.device.stats.bytes_read
+        full = db.fs.device.stats.snapshot().bytes_read
         assert pruned < full / 2
 
     def test_count_star_scans_one_column(self, db):

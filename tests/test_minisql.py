@@ -107,10 +107,10 @@ class TestPaging:
             db.execute(f"INSERT INTO t VALUES ({key}, 'n', 0.0)")
         db.fs.device.stats.reset()
         list(db.table("t").scan_range(5, 10))
-        pruned_reads = db.fs.device.stats.block_reads
+        pruned_reads = db.fs.device.stats.snapshot().block_reads
         db.fs.device.stats.reset()
         list(db.table("t").scan())
-        full_reads = db.fs.device.stats.block_reads
+        full_reads = db.fs.device.stats.snapshot().block_reads
         assert pruned_reads < full_reads
 
 

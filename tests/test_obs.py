@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
 
 import pytest
 
@@ -467,33 +466,21 @@ class TestStatsRegistryDedup:
         assert registry.total().block_reads == 2
         assert registry.total().bytes_read == 30
 
-    def test_aggregate_is_deprecated_alias(self):
-        registry = StatsRegistry()
-        registry.register("a").record_write(7)
-        with pytest.warns(DeprecationWarning, match="use total"):
-            snap = registry.aggregate()
-        assert snap.block_writes == 1
-
 
 class TestLegacyShims:
-    def test_attribute_read_warns_and_matches_snapshot(self):
+    """Stats counters are read only through ``snapshot()``: no per-field
+    attributes, no ``StatsRegistry.aggregate``."""
+
+    def test_legacy_attributes_are_gone(self):
         stats = IOStats()
         stats.record_read(100)
-        with pytest.warns(DeprecationWarning, match="IOStats.block_reads"):
-            assert stats.block_reads == 1
+        assert not hasattr(stats, "block_reads")
         assert stats.snapshot().block_reads == 1
-
-    def test_attribute_write_warns_and_lands_in_registry(self):
-        stats = IOStats()
-        with pytest.warns(DeprecationWarning):
-            stats.allocations = 3
-        assert stats.registry.snapshot().counter("storage.device.allocations") == 3
-
-    def test_compressor_stats_shim(self):
-        stats = CompressorStats()
-        stats.record("dedup_hits")
-        with pytest.warns(DeprecationWarning):
-            assert stats.dedup_hits == 1
+        compressor = CompressorStats()
+        compressor.record("dedup_hits")
+        assert not hasattr(compressor, "dedup_hits")
+        assert compressor.snapshot()["dedup_hits"] == 1
+        assert not hasattr(StatsRegistry(), "aggregate")
 
     def test_snapshot_is_frozen(self):
         snap = IOStats().snapshot()

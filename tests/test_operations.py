@@ -231,11 +231,11 @@ class TestSearchAndCount:
         engine.create("/f")
         for __ in range(20):
             engine.ops.append("/f", block)
-        reads_before = engine.device.stats.block_reads
+        reads_before = engine.device.stats.snapshot().block_reads
         matches = engine.ops.search("/f", b"needle")
         assert len(matches) == 20
         # Far fewer block reads than slots: one scan + junction windows.
-        assert engine.device.stats.block_reads - reads_before < 60
+        assert engine.device.stats.snapshot().block_reads - reads_before < 60
 
     def test_count_equals_len_search(self, loaded):
         assert loaded.ops.count("/f", b"o") == len(loaded.ops.search("/f", b"o"))
@@ -265,13 +265,13 @@ class TestStatsCounters:
         loaded.ops.append("/f", b"z")
         loaded.ops.search("/f", b"a")
         loaded.ops.count("/f", b"a")
-        stats = loaded.ops.stats
+        stats = loaded.ops.stats.snapshot()
         assert (
-            stats.extract,
-            stats.replace,
-            stats.insert,
-            stats.delete,
-            stats.append,
-            stats.search,
-            stats.count,
+            stats["extract"],
+            stats["replace"],
+            stats["insert"],
+            stats["delete"],
+            stats["append"],
+            stats["search"],
+            stats["count"],
         ) == (1, 1, 1, 1, 1, 1, 1)

@@ -16,7 +16,11 @@ from repro.raft.log import LogEntry, RaftLog, RaftLogError
 from repro.raft.node import LEADER, NodeCrashed, NotLeaderError, RaftConfig
 from repro.raft.statemachine import encode_command
 from repro.serving.client import raise_wire_error
-from repro.storage.block_device import MemoryBlockDevice
+from repro.storage.block_device import (
+    BlockDeviceError,
+    DeviceWrapper,
+    MemoryBlockDevice,
+)
 from repro.storage.simclock import RAM_DISK, SimClock
 
 
@@ -97,6 +101,21 @@ class TestRaftLog:
         log = RaftLog(_device())
         with pytest.raises(RaftLogError):
             log.append(1, [b"x" * 5000])
+
+    def test_hard_state_read_error_propagates(self):
+        # A failed read of block 0 must not pass for an empty log: that
+        # would reset (current_term, voted_for) and allow a second vote
+        # in the same term.
+        class FailingHardStateRead(DeviceWrapper):
+            def read_blocks(self, block_nos):
+                if 0 in block_nos:
+                    raise BlockDeviceError("injected read error on block 0")
+                return self.inner.read_blocks(block_nos)
+
+        device = _device()
+        RaftLog(device).set_hard_state(5, "m2")
+        with pytest.raises(BlockDeviceError):
+            RaftLog(FailingHardStateRead(device))
 
 
 def _group(masters=3, seed=0, **kwargs):

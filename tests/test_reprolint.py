@@ -234,12 +234,11 @@ class TestLayeringRule:
             rules=["LAYER001"],
         )
         assert len(active(findings)) == 1
-        assert "repro.core.api" in active(findings)[0].message
+        assert "may only use the VFS" in active(findings)[0].message
 
     def test_database_using_public_surface_passes(self):
         findings = lint(
             """
-            from repro.core.api import SocketClient
             from repro.fs.vfs import PassthroughFS
             from repro.storage.simclock import SimClock
             """,

@@ -102,10 +102,10 @@ class TestSQLIntegration:
         db.execute("CREATE INDEX idx_age ON users (age)")
         db.fs.device.stats.reset()
         db.execute("SELECT id FROM users WHERE age = 29")
-        indexed_reads = db.fs.device.stats.block_reads
+        indexed_reads = db.fs.device.stats.snapshot().block_reads
         db.fs.device.stats.reset()
         db.execute("SELECT id FROM users WHERE age = 29 OR age = 999")  # forces scan
-        scan_reads = db.fs.device.stats.block_reads
+        scan_reads = db.fs.device.stats.snapshot().block_reads
         assert indexed_reads < scan_reads
 
     def test_index_maintained_on_insert(self, db):

@@ -616,16 +616,6 @@ class TestFacade:
         with pytest.raises(InvalidArgument):
             api.connect(object())
 
-    def test_legacy_entry_points_warn_but_work(self):
-        from repro.core.api import DirectAPI
-
-        engine = CompressDB(block_size=256, page_capacity=8)
-        engine.create("/x")
-        with pytest.warns(DeprecationWarning):
-            legacy = DirectAPI(engine)
-        legacy.append("/x", b"still works")
-        assert legacy.extract("/x", 0, 11) == b"still works"
-
 
 # ---------------------------------------------------------------------------
 # Crash mid-request
@@ -736,6 +726,65 @@ class TestSocketTransport:
             with SocketTransport(path) as transport:
                 assert WireClient(transport).hello("walk-in")["tenant"] == "walk-in"
         assert "walk-in" in server.tenants()
+
+    def test_parallel_clients_are_served(self, stack):
+        import threading
+
+        server, __, path = stack
+        errors: list[Exception] = []
+
+        def worker(worker_no: int) -> None:
+            try:
+                with SocketTransport(path) as transport:
+                    client = WireClient(transport)
+                    client.hello("gold")
+                    fs = RemoteFS(client)
+                    for i in range(10):
+                        name = "/w%d-%02d" % (worker_no, i)
+                        fs.write_file(name, b"alpha %s " % name.encode())
+                        assert client.count(name, b"alpha") == 1
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors
+        # All 40 writes landed and the engine is consistent.
+        with SocketTransport(path) as transport:
+            client = WireClient(transport)
+            client.hello("gold")
+            names = RemoteFS(client).listdir()
+        assert sorted(names) == sorted(
+            "/w%d-%02d" % (n, i) for n in range(4) for i in range(10)
+        )
+        server.fs.engine.check_invariants()
+
+    def test_two_simultaneous_connections(self, stack):
+        __, __, path = stack
+        with SocketTransport(path) as first_transport:
+            with SocketTransport(path) as second_transport:
+                first = WireClient(first_transport)
+                second = WireClient(second_transport)
+                first.hello("gold")
+                second.hello("gold")
+                # Interleaved requests on two open connections.
+                RemoteFS(first).write_file("/doc", b"alpha beta alpha")
+                assert second.count("/doc", b"alpha") == 2
+                RemoteFS(second).append_file("/doc", b" two")
+                assert first.count("/doc", b"two") == 1
+                assert RemoteFS(first).read_file("/doc") == b"alpha beta alpha two"
+
+    def test_multiple_sequential_clients(self, stack):
+        __, __, path = stack
+        for attempt in range(3):
+            with SocketTransport(path) as transport:
+                client = WireClient(transport)
+                client.hello("gold")
+                RemoteFS(client).append_file("/log", b"gamma ")
+                assert client.count("/log", b"gamma") == attempt + 1
 
 
 # ---------------------------------------------------------------------------

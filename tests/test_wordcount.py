@@ -66,15 +66,15 @@ class TestWordCount:
         engine.create("/f")
         for __ in range(50):
             engine.ops.append("/f", block)
-        reads_before = engine.device.stats.block_reads
+        reads_before = engine.device.stats.snapshot().block_reads
         counts = engine.ops.word_count("/f")
         assert counts[b"repeat"] == 50
         # One device read for the single distinct block.
-        assert engine.device.stats.block_reads - reads_before <= 2
+        assert engine.device.stats.snapshot().block_reads - reads_before <= 2
 
     def test_stats_counter(self, loaded_engine):
         loaded_engine.ops.word_count("/f")
-        assert loaded_engine.ops.stats.word_count == 1
+        assert loaded_engine.ops.stats.snapshot()["word_count"] == 1
 
 
 class TestParallelSearch:
