@@ -12,7 +12,10 @@ baseline on identical hardware: plain fixed-width blocks scanned row
 by row versus delta/RLE/dictionary blocks evaluated as encoded vectors
 (:mod:`repro.databases.vector_executor`).  The encoded working set is
 a fraction of the plain one, so the simulated device time drops by
-``SPEEDUP_BOUND`` or better.  Timings land in ``BENCH_rangescan.json``.
+``SPEEDUP_BOUND`` or better.  Every simulated figure in
+``BENCH_rangescan.json`` sits next to the real time of the same queries
+(``real_ms``, measured with ``time.perf_counter`` on the machine that
+ran the benchmark); the gate applies to the simulated speedup only.
 
 Runnable standalone (``python benchmarks/bench_rangescan.py
 [--smoke]``) or under pytest with the benchmark suite.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from repro.bench import improvement_percent, make_database, make_fs, print_table
@@ -92,9 +96,21 @@ def _loaded_row_count(db) -> int:
     return int(db.execute("SELECT count(*) c FROM tbl")[0]["c"])
 
 
+def _timed_repeats(db, clock, repeats):
+    """Run QUERY ``repeats`` times: (last result, simulated seconds per
+    query, real seconds per query)."""
+    start = clock.now
+    started = time.perf_counter()
+    for __ in range(repeats):
+        result = db.execute(QUERY)
+    real = (time.perf_counter() - started) / repeats
+    return result, (clock.now - start) / repeats, real
+
+
 def _run_engine(engine_name, rows, repeats):
     dataset = _dataset(rows)
     timings = {}
+    real = {}
     result_sets = {}
     for variant in ("baseline", "compressdb"):
         mounted = make_fs(variant, cache_blocks=16)
@@ -103,12 +119,11 @@ def _run_engine(engine_name, rows, repeats):
         else:
             db = _prepare_sqlite(mounted.fs, dataset)
         assert _loaded_row_count(db) == len(dataset), engine_name
-        start = mounted.clock.now
-        for __ in range(repeats):
-            result_sets[variant] = db.execute(QUERY)
-        timings[variant] = (mounted.clock.now - start) / repeats
+        result_sets[variant], timings[variant], real[variant] = _timed_repeats(
+            db, mounted.clock, repeats
+        )
     assert result_sets["baseline"] == result_sets["compressdb"]
-    return timings, result_sets["compressdb"]
+    return {**timings, "real": real}, result_sets["compressdb"]
 
 
 def _run_engines(rows, repeats):
@@ -143,6 +158,7 @@ def _run_compressed_domain(rows, repeats, cache_blocks=32):
     column blocks."""
     dataset = _dataset(rows)
     timings = {}
+    real = {}
     result_sets = {}
     for label, encodings, vectorized in (
         ("row-interpreter", False, False),
@@ -152,12 +168,11 @@ def _run_compressed_domain(rows, repeats, cache_blocks=32):
         db.execute("CREATE TABLE tbl (id INT, idx INT, cnt INT, dt TEXT)")
         db.table("tbl").insert_rows(dataset)
         assert _loaded_row_count(db) == len(dataset)
-        start = clock.now
-        for __ in range(repeats):
-            result_sets[label] = db.execute(QUERY)
-        timings[label] = (clock.now - start) / repeats
+        result_sets[label], timings[label], real[label] = _timed_repeats(
+            db, clock, repeats
+        )
     assert result_sets["row-interpreter"] == result_sets["compressed-domain"]
-    return timings
+    return {**timings, "real": real}
 
 
 def run_all(smoke: bool = False) -> dict:
@@ -191,26 +206,51 @@ def report(results: dict) -> dict:
                 f"{timings['compressdb'] * 1e3:.2f}",
                 gain_label,
                 f"{paper[engine]:.2f}%",
+                f"{timings['real']['baseline'] * 1e3:.2f}",
+                f"{timings['real']['compressdb'] * 1e3:.2f}",
             ]
         )
     print_table(
-        ["engine", "baseline (ms)", "CompressDB (ms)", "gain", "paper gain"],
+        [
+            "engine",
+            "baseline sim (ms)",
+            "CompressDB sim (ms)",
+            "sim gain",
+            "paper gain",
+            "baseline real (ms)",
+            "CompressDB real (ms)",
+        ],
         rows,
         title="Section 6.2: range scan query",
     )
     domain = results["compressed_domain"]
     interpret = domain["row-interpreter"]
     vectorized = domain["compressed-domain"]
+    real_interpret = domain["real"]["row-interpreter"]
+    real_vectorized = domain["real"]["compressed-domain"]
     if vectorized > 0:
         speedup = interpret / vectorized
     else:
         # A fully-cached vectorized run: finite stand-in keeps the JSON valid.
         speedup = 1.0 if interpret == 0 else 1e9
+    real_speedup = real_interpret / real_vectorized
     print_table(
-        ["path", "per-query sim (ms)", "speedup"],
+        ["path", "per-query sim (ms)", "sim speedup", "per-query real (ms)", "real speedup"],
         [
-            ["decode-then-interpret", f"{interpret * 1e3:.2f}", "1.0x"],
-            ["compressed-domain vectorized", f"{vectorized * 1e3:.2f}", f"{speedup:.1f}x"],
+            [
+                "decode-then-interpret",
+                f"{interpret * 1e3:.2f}",
+                "1.0x",
+                f"{real_interpret * 1e3:.2f}",
+                "1.0x",
+            ],
+            [
+                "compressed-domain vectorized",
+                f"{vectorized * 1e3:.2f}",
+                f"{speedup:.1f}x",
+                f"{real_vectorized * 1e3:.2f}",
+                f"{real_speedup:.1f}x",
+            ],
         ],
         title="Compressed-domain execution: range scan + GROUP BY",
     )
@@ -222,13 +262,22 @@ def report(results: dict) -> dict:
             engine: {
                 "baseline_ms": timings["baseline"] * 1e3,
                 "compressdb_ms": timings["compressdb"] * 1e3,
+                "real_ms": {
+                    "baseline": timings["real"]["baseline"] * 1e3,
+                    "compressdb": timings["real"]["compressdb"] * 1e3,
+                },
             }
             for engine, timings in results["engines"].items()
         },
         "compressed_domain": {
             "row_interpreter_ms": interpret * 1e3,
             "vectorized_ms": vectorized * 1e3,
-            "speedup": speedup,
+            "sim_speedup": speedup,
+            "real_ms": {
+                "row_interpreter": real_interpret * 1e3,
+                "vectorized": real_vectorized * 1e3,
+            },
+            "real_speedup": real_speedup,
         },
     }
     JSON_PATH.write_text(json.dumps(summary, indent=2) + "\n")
@@ -238,9 +287,9 @@ def report(results: dict) -> dict:
 def _check(summary: dict) -> None:
     for engine, timings in summary["engines"].items():
         assert timings["compressdb_ms"] <= timings["baseline_ms"], engine
-    speedup = summary["compressed_domain"]["speedup"]
+    speedup = summary["compressed_domain"]["sim_speedup"]
     assert speedup >= SPEEDUP_BOUND, (
-        f"compressed-domain speedup {speedup:.2f}x is under the "
+        f"compressed-domain simulated speedup {speedup:.2f}x is under the "
         f"{SPEEDUP_BOUND}x bound"
     )
 

@@ -28,6 +28,9 @@ and a dictionary may contain a NULL entry.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter, lshift
 from typing import Callable, Optional, Sequence, Union
 
 from repro.databases.common import DatabaseError
@@ -75,28 +78,76 @@ class CodecError(DatabaseError):
 # bit packing
 # ---------------------------------------------------------------------------
 
+#: Values per bit-packing chunk: a chunk of ``width``-bit values spans
+#: exactly ``8 * width`` bytes, so chunks concatenate byte-aligned and
+#: every shift works on a bounded-size int (linear, not quadratic).
+_CHUNK = 64
+
+
 def pack_bits(values: Sequence[int], width: int) -> bytes:
     """Pack non-negative ints of ``width`` bits each, little-endian."""
     if width == 0 or not values:
         return b""
-    acc = 0
-    shift = 0
-    for value in values:
-        acc |= value << shift
-        shift += width
-    return acc.to_bytes((shift + 7) // 8, "little")
+    shifts = range(0, _CHUNK * width, width)
+    chunk_bytes = _CHUNK * width // 8
+    packed = b"".join(
+        # Values occupy disjoint bit fields, so their sum is their OR.
+        sum(map(lshift, values[start : start + _CHUNK], shifts)).to_bytes(
+            chunk_bytes, "little"
+        )
+        for start in range(0, len(values), _CHUNK)
+    )
+    return packed[: (len(values) * width + 7) // 8]
+
+
+#: Widths up to this unpack by byte lanes: every value then spans at
+#: most two bytes, so a lane costs one ``bytes.translate`` plus at most
+#: one table-lookup pass.  Wider values unpack by 64-value chunks.
+_LANE_MAX_WIDTH = 10
+
+
+@lru_cache(maxsize=None)
+def _lane_plan(width: int) -> tuple[tuple[int, bytes, Optional[tuple[int, ...]]], ...]:
+    """How to read lane ``j`` — the ``j``-th value of every 8-value
+    group, which spans exactly ``width`` bytes — for each of the 8
+    lanes: the lane's first byte in a group, a ``translate`` table
+    extracting its low bits there, and a lookup table placing the high
+    bits from the next byte (``None`` when the value fits one byte)."""
+    mask = (1 << width) - 1
+    plan = []
+    for lane in range(8):
+        first, shift = divmod(lane * width, 8)
+        low = bytes((byte >> shift) & mask for byte in range(256))
+        high = None
+        if shift + width > 8:
+            high = tuple((byte << (8 - shift)) & mask for byte in range(256))
+        plan.append((first, low, high))
+    return tuple(plan)
 
 
 def unpack_bits(data: bytes, width: int, count: int) -> list[int]:
     """Inverse of :func:`pack_bits` for ``count`` values."""
     if width == 0:
         return [0] * count
-    acc = int.from_bytes(data, "little")
+    if width <= _LANE_MAX_WIDTH:
+        groups = (count + 7) // 8
+        data = bytes(data[: groups * width]).ljust(groups * width, b"\0")
+        out = [0] * (groups * 8)
+        for lane, (first, low, high) in enumerate(_lane_plan(width)):
+            values = data[first::width].translate(low)
+            if high is not None:
+                values = map(add, values, map(high.__getitem__, data[first + 1 :: width]))
+            out[lane::8] = values
+        del out[count:]
+        return out
     mask = (1 << width) - 1
+    shifts = range(0, _CHUNK * width, width)
+    chunk_bytes = _CHUNK * width // 8
     out = []
-    for __ in range(count):
-        out.append(acc & mask)
-        acc >>= width
+    for offset in range(0, (count * width + 7) // 8, chunk_bytes):
+        chunk = int.from_bytes(data[offset : offset + chunk_bytes], "little")
+        out.extend(map(mask.__and__, map(chunk.__rshift__, shifts)))
+    del out[count:]
     return out
 
 
@@ -125,7 +176,13 @@ def _from_storage(type_name: str, cell: Union[int, float]) -> Value:
 # ---------------------------------------------------------------------------
 
 class ColumnVector:
-    """One column of one block, possibly still encoded."""
+    """One column of one block, possibly still encoded.
+
+    Predicates run block-at-a-time: :meth:`select` hands a vectorized
+    test the fewest values that decide every row — all values of a
+    plain block, one per RLE run, one per dictionary entry — and
+    expands the verdicts back to one per row.
+    """
 
     encoding: int = PLAIN
 
@@ -136,8 +193,8 @@ class ColumnVector:
         """Logical values, one per row."""
         raise NotImplementedError
 
-    def pred_bools(self, predicate: Callable[[Value], bool]) -> list[bool]:
-        """Per-row predicate results, evaluated encoding-aware."""
+    def select(self, test: Callable[[list[Value]], list[bool]]) -> list[bool]:
+        """Per-row results of ``test``, a predicate over a value list."""
         raise NotImplementedError
 
 
@@ -156,8 +213,8 @@ class PlainVector(ColumnVector):
     def materialize(self) -> list[Value]:
         return self.values
 
-    def pred_bools(self, predicate: Callable[[Value], bool]) -> list[bool]:
-        return [predicate(value) for value in self.values]
+    def select(self, test: Callable[[list[Value]], list[bool]]) -> list[bool]:
+        return test(self.values)
 
 
 class RLEVector(ColumnVector):
@@ -174,16 +231,11 @@ class RLEVector(ColumnVector):
         return sum(self.run_lengths)
 
     def materialize(self) -> list[Value]:
-        out: list[Value] = []
-        for value, length in zip(self.run_values, self.run_lengths):
-            out.extend([value] * length)
-        return out
+        return list(chain.from_iterable(map(repeat, self.run_values, self.run_lengths)))
 
-    def pred_bools(self, predicate: Callable[[Value], bool]) -> list[bool]:
-        out: list[bool] = []
-        for value, length in zip(self.run_values, self.run_lengths):
-            out.extend([predicate(value)] * length)  # one test per run
-        return out
+    def select(self, test: Callable[[list[Value]], list[bool]]) -> list[bool]:
+        verdicts = test(self.run_values)  # one test per run
+        return list(chain.from_iterable(map(repeat, verdicts, self.run_lengths)))
 
     def runs(self) -> list[tuple[Value, int]]:
         return list(zip(self.run_values, self.run_lengths))
@@ -203,12 +255,11 @@ class DictVector(ColumnVector):
         return len(self.codes)
 
     def materialize(self) -> list[Value]:
-        dictionary = self.dictionary
-        return [dictionary[code] for code in self.codes]
+        return list(map(self.dictionary.__getitem__, self.codes))
 
-    def pred_bools(self, predicate: Callable[[Value], bool]) -> list[bool]:
-        verdicts = [predicate(value) for value in self.dictionary]
-        return [verdicts[code] for code in self.codes]
+    def select(self, test: Callable[[list[Value]], list[bool]]) -> list[bool]:
+        verdicts = test(self.dictionary)  # one test per distinct value
+        return list(map(verdicts.__getitem__, self.codes))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +278,15 @@ def encode_plain(type_name: str, values: Sequence[Value]) -> bytes:
 
 def decode_plain(type_name: str, payload: bytes) -> list[Value]:
     if type_name == "INT":
-        return [_from_storage("INT", cell) for (cell,) in _INT_CELL.iter_unpack(payload)]
-    if type_name == "REAL":
-        return [_from_storage("REAL", cell) for (cell,) in _REAL_CELL.iter_unpack(payload)]
-    raise CodecError(f"no plain cell format for {type_name}")
+        cell, null = _INT_CELL, NULL_INT
+    elif type_name == "REAL":
+        cell, null = _REAL_CELL, NULL_REAL
+    else:
+        raise CodecError(f"no plain cell format for {type_name}")
+    values: list[Value] = list(map(itemgetter(0), cell.iter_unpack(payload)))
+    if null in values:
+        values = [None if value == null else value for value in values]
+    return values
 
 
 def _runs_of(values: Sequence[Value]) -> list[tuple[Value, int]]:
@@ -287,13 +343,10 @@ def decode_delta(payload: bytes, count: int) -> list[Value]:
     if count == 0:
         return []
     first, low, width = _DELTA_HEADER.unpack_from(payload, 0)
+    if width == 0:  # every delta equals ``low``: an arithmetic progression
+        return list(range(first, first + low * count, low)) if low else [first] * count
     packed = unpack_bits(payload[_DELTA_HEADER.size :], width, count - 1)
-    out: list[Value] = [first]
-    current = first
-    for packed_delta in packed:
-        current += packed_delta + low
-        out.append(current)
-    return out
+    return list(accumulate(map(low.__add__, packed), initial=first))
 
 
 def encode_dict(values: Sequence[Value]) -> bytes:

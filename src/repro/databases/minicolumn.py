@@ -32,7 +32,8 @@ from __future__ import annotations
 import json
 import struct
 from bisect import bisect_right
-from typing import Iterator, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.databases import colcodec
 from repro.databases.colcodec import (
@@ -82,6 +83,25 @@ _NULL_LENGTH = NULL_LENGTH
 
 class ColumnStoreError(DatabaseError):
     """Schema violation or unsupported operation."""
+
+
+#: A block's zone entry as a scan hands it on: (min, max, has-null).
+Zone = tuple[float, float, bool]
+
+
+class BlockVectors(dict):
+    """The column vectors of one scanned block, each decoded on first
+    access (a missing key calls that column's decoder)."""
+
+    __slots__ = ("_decoders",)
+
+    def __init__(self, decoders: dict[str, Callable[[], ColumnVector]]) -> None:
+        super().__init__()
+        self._decoders = decoders
+
+    def __missing__(self, name: str) -> ColumnVector:
+        vector = self[name] = self._decoders[name]()
+        return vector
 
 
 class _Segment(NamedTuple):
@@ -409,16 +429,22 @@ class _ColumnFile:
                         heap[base : base + length].decode("utf-8")
                     )
 
-    def read_vectors(self, spans: Sequence[tuple[int, int]]) -> list[ColumnVector]:
-        """One :class:`ColumnVector` per (start, count) span.
+    def read_vectors(
+        self, spans: Sequence[tuple[int, int]]
+    ) -> list[Callable[[], ColumnVector]]:
+        """One decoder per (start, count) span: a zero-argument callable
+        returning the span's :class:`ColumnVector`.
 
-        A span that exactly covers one encoded block keeps its encoded
+        Every payload is read now, with one vectored read; an encoded
+        block is decoded only when its decoder is called, so a scan
+        never decodes a column the executor ends up not needing.  A
+        span that exactly covers one encoded block keeps its encoded
         form (RLE runs, dictionary codes); everything else — plain
         blocks, straddling spans — materialises into a plain vector.
         """
         segments = self.segments()
         starts = [segment.start for segment in segments]
-        vectors: list[Optional[ColumnVector]] = [None] * len(spans)
+        decoders: list[Optional[Callable[[], ColumnVector]]] = [None] * len(spans)
         pending: list[tuple[int, _Segment]] = []
         requests: list[tuple[int, int]] = []
         fallback: list[tuple[int, tuple[int, int]]] = []
@@ -438,14 +464,18 @@ class _ColumnFile:
         if requests:
             raws = self.fs._preadv(self.data_path, requests)
             for (span_index, segment), raw in zip(pending, raws):
-                vectors[span_index] = colcodec.decode_vector(
-                    self.type_name, segment.encoding, raw, segment.count
+                decoders[span_index] = partial(
+                    colcodec.decode_vector,
+                    self.type_name,
+                    segment.encoding,
+                    raw,
+                    segment.count,
                 )
         if fallback:
             value_lists = self.read_ranges([span for __, span in fallback])
             for (span_index, __), values in zip(fallback, value_lists):
-                vectors[span_index] = PlainVector(values)
-        return vectors  # type: ignore[return-value]
+                decoders[span_index] = partial(PlainVector, values)
+        return decoders  # type: ignore[return-value]
 
     # -- update / morph ---------------------------------------------------------
     def update_cell(self, row: int, value: object) -> None:
@@ -702,9 +732,10 @@ class ColumnTable:
         self,
         columns: Optional[Sequence[str]] = None,
         batch: int = 1024,
+        ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]] = None,
     ) -> Iterator[tuple[int, dict[str, object]]]:
         """Like :meth:`scan` but yields (physical row number, row)."""
-        return self._scan_batches(columns, batch, None)
+        return self._scan_batches(columns, batch, ranges)
 
     def _check_columns(self, columns: Optional[Sequence[str]]) -> list[str]:
         names = list(columns) if columns is not None else self.column_names
@@ -717,13 +748,17 @@ class ColumnTable:
         self,
         names: Sequence[str],
         ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]],
-    ) -> list[tuple[int, int]]:
-        """Surviving (start, count) block spans for a scan."""
+    ) -> list[tuple[int, int, dict[str, Zone]]]:
+        """Surviving (start, count, zones) block spans for a scan.
+
+        ``zones`` maps each zone-pruned column to the block's
+        (min, max, has-null) entry; it is empty when pruning does not
+        apply."""
         pruned = self._prunable_batches(ranges)
         if pruned is not None:
-            return [(start, count) for start, count in pruned if count > 0]
+            return [span for span in pruned if span[1] > 0]
         return [
-            (segment.start, segment.count)
+            (segment.start, segment.count, {})
             for segment in self._files[names[0]].segments()
         ]
 
@@ -735,7 +770,7 @@ class ColumnTable:
     ) -> Iterator[tuple[int, dict[str, object]]]:
         names = self._check_columns(columns)
         mask = self._mask()
-        batches = self._scan_spans(names, ranges)
+        batches = [(start, count) for start, count, __ in self._scan_spans(names, ranges)]
         # Prefetch groups of surviving batches per column with one
         # vectored read each, instead of one positional read per
         # (batch, column) pair.  The group size bounds memory while a
@@ -757,31 +792,37 @@ class ColumnTable:
         self,
         columns: Optional[Sequence[str]] = None,
         ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]] = None,
-    ) -> Iterator[tuple[int, int, bytes, dict[str, ColumnVector]]]:
+    ) -> Iterator[tuple[int, int, bytes, dict[str, Zone], "BlockVectors"]]:
         """Vectorized scan: yield (start, count, deletion-mask slice,
-        column vectors) per surviving block, keeping encoded forms.
+        zones, column vectors) per surviving block, keeping encoded
+        forms.
 
         This is the compressed-domain path: the vectors may still be
         RLE runs or dictionary codes, and the caller (the vectorized
         executor) evaluates predicates and aggregates on them directly.
+        ``zones`` holds the zone entries pruning already read, so the
+        caller can skip a predicate they prove true for every row; a
+        column is decoded on first access only.
         """
         names = self._check_columns(columns)
         mask = self._mask()
-        batches = self._scan_spans(names, ranges)
+        spans = self._scan_spans(names, ranges)
         group_size = self.SCAN_PREFETCH_BATCHES
-        for group_start in range(0, len(batches), group_size):
-            group = batches[group_start : group_start + group_size]
-            vectors = {name: self._files[name].read_vectors(group) for name in names}
-            for position, (start, count) in enumerate(group):
-                yield start, count, mask[start : start + count], {
-                    name: vectors[name][position] for name in names
-                }
+        for group_start in range(0, len(spans), group_size):
+            group = spans[group_start : group_start + group_size]
+            blocks = [(start, count) for start, count, __ in group]
+            decoders = {name: self._files[name].read_vectors(blocks) for name in names}
+            for position, (start, count, zones) in enumerate(group):
+                yield start, count, mask[start : start + count], zones, BlockVectors(
+                    {name: decoders[name][position] for name in names}
+                )
 
     def _prunable_batches(
         self, ranges: Optional[dict[str, tuple[Optional[float], Optional[float]]]]
-    ) -> Optional[list[tuple[int, int]]]:
-        """Surviving (start, count) batches under the zone maps, or None
-        when pruning does not apply (no usable numeric constraint)."""
+    ) -> Optional[list[tuple[int, int, dict[str, Zone]]]]:
+        """Surviving (start, count, zones) batches under the zone maps,
+        or None when pruning does not apply (no usable numeric
+        constraint)."""
         if not ranges:
             return None
         constrained = [
@@ -797,21 +838,20 @@ class ColumnTable:
             len(column_entries) != batch_count for column_entries in entries.values()
         ):
             return None  # inconsistent maps: fall back to a full scan
-        surviving: list[tuple[int, int]] = []
+        surviving: list[tuple[int, int, dict[str, Zone]]] = []
         for index in range(batch_count):
-            keep = True
+            zones: dict[str, Zone] = {}
             for name in constrained:
-                start, count, low, high, __ = entries[name][index]
+                start, count, low, high, has_null = entries[name][index]
                 bound_low, bound_high = ranges[name]
                 if bound_low is not None and high < bound_low:
-                    keep = False
                     break
                 if bound_high is not None and low > bound_high:
-                    keep = False
                     break
-            if keep:
+                zones[name] = (low, high, has_null)
+            else:
                 start, count, __, __, __ = entries[constrained[0]][index]
-                surviving.append((start, count))
+                surviving.append((start, count, zones))
         return surviving
 
     def read_row(self, row: int, columns: Optional[Sequence[str]] = None) -> dict[str, object]:
@@ -917,11 +957,11 @@ class MiniColumn(Database):
     def _execute_delete(self, statement: Delete) -> list:
         """Lightweight delete: mark matching rows in the deletion mask."""
         table = self.table(statement.table)
-        needed = sorted(_columns_of(statement.where)) or table.column_names[:1]
         doomed = [
             row_no
-            for row_no, row in table.scan_with_index(columns=needed)
-            if statement.where is None or evaluate(statement.where, row)
+            for row_no, __ in _matching_rows(
+                table, statement.where, _columns_of(statement.where)
+            )
         ]
         table.mark_deleted(doomed)
         return []
@@ -996,15 +1036,10 @@ class MiniColumn(Database):
         needed: set[str] = _columns_of(statement.where)
         for __, expr in statement.assignments:
             needed |= _columns_of(expr)
-        read_columns = sorted(needed)
-        updates: list[tuple[int, dict[str, object]]] = []
-        scan_columns = read_columns if read_columns else table.column_names[:1]
-        for row_no, row in table.scan_with_index(columns=scan_columns):
-            if statement.where is None or evaluate(statement.where, row):
-                changes = {
-                    column: evaluate(expr, row) for column, expr in statement.assignments
-                }
-                updates.append((row_no, changes))
+        updates = [
+            (row_no, {column: evaluate(expr, row) for column, expr in statement.assignments})
+            for row_no, row in _matching_rows(table, statement.where, needed)
+        ]
         for row_no, changes in updates:
             table.update_row(row_no, changes)
         return []
@@ -1063,6 +1098,23 @@ class MiniColumn(Database):
                 f"INSERT INTO {self.BENCH_TABLE} VALUES "
                 f"({key_int}, {key_int % 10}, {key_int % 97}, 'd{key_int % 7}', '{escaped}')"
             )
+
+
+def _matching_rows(
+    table: ColumnTable, where: Optional[Expr], columns: set[str]
+) -> Iterator[tuple[int, dict[str, object]]]:
+    """(physical row number, row) of every live row matching ``where``.
+
+    The zone maps prune blocks that cannot match first; every row of a
+    surviving block is still checked against the full WHERE.  Rows
+    carry ``columns`` (the first column when that is empty).
+    """
+    scan_columns = sorted(columns) or table.column_names[:1]
+    for row_no, row in table.scan_with_index(
+        columns=scan_columns, ranges=_range_constraints(where)
+    ):
+        if where is None or evaluate(where, row):
+            yield row_no, row
 
 
 def _range_constraints(

@@ -2,27 +2,44 @@
 
 This is MiniColumn's compressed-domain query path.  The storage layer
 (:meth:`repro.databases.minicolumn.ColumnTable.scan_vector_blocks`)
-yields one :class:`~repro.databases.colcodec.ColumnVector` per column
-per surviving block, *keeping encoded forms*: predicates evaluate an
-RLE run once per run and a dictionary predicate once per distinct
-string, producing a selection vector that is ANDed with the
-deletion-mask complement.  Selected rows then flow into the grouped
-aggregation kernel (or, for plain projections, into the shared row
-projector with the WHERE already applied).
+yields each surviving block's zone entries and one
+:class:`~repro.databases.colcodec.ColumnVector` per column, *keeping
+encoded forms* and decoding a column only when it is first touched.
+Every operator runs a whole block at a time, leaving the per-row loops
+to C (``map``, ``itertools.compress`` and builtin reductions):
+
+* **selection** — each ``column op literal`` conjunct is one list test
+  (``map(operator.ge, values, repeat(bound))``) over the fewest values
+  that decide the block: every value of a plain or delta block, one
+  per RLE run, one per dictionary entry.  The verdicts AND into a
+  selection vector that starts from the deletion-mask complement.  A
+  conjunct on an INT column whose zone entry proves it for every row
+  of the block is skipped, and its column is not decoded for it;
+* **grouped aggregation** — a block's selected positions are
+  partitioned by group key once (with no GROUP BY they all form the
+  single ``()`` group, and no key is built per row), then each
+  (group, aggregate) pair is reduced with ``len``/``min``/``max`` and
+  ``sum`` (REAL sums fold left to right, as the row interpreter adds).
 
 The entry point :func:`try_run_select_vectorized` returns ``None`` for
 query shapes it does not support — joins, WHERE clauses that are not
 AND-trees of ``column op literal``, aggregate arguments that are not a
 column or ``*`` — and the caller falls back to the row interpreter in
-:mod:`repro.databases.sql_executor`.  Both paths share the aggregate
-result semantics (``_Accumulator``), projection naming, ORDER BY, and
-LIMIT code, so their outputs are identical wherever both apply.
+:mod:`repro.databases.sql_executor`, which stays the semantic
+reference.  Both paths share the aggregate result semantics
+(``_Accumulator.result``), projection naming, ORDER BY, and LIMIT code,
+so their outputs are identical wherever both apply: groups in
+first-appearance order, a group's first selected row as its sample,
+NULLs skipped by every aggregate but ``count(*)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Optional
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import add, and_, eq, ge, gt, le, lt, ne, not_
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from repro.databases.sql_executor import (
     _Accumulator,
@@ -45,10 +62,9 @@ from repro.databases.sql_parser import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
-    from repro.databases.colcodec import ColumnVector
-    from repro.databases.minicolumn import ColumnTable
+    from repro.databases.minicolumn import BlockVectors, ColumnTable, Zone
 
-_COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_OPERATORS = {"=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def _conjuncts(where: Optional[Expr]) -> Optional[list[tuple[str, str, object]]]:
@@ -67,7 +83,7 @@ def _conjuncts(where: Optional[Expr]) -> Optional[list[tuple[str, str, object]]]
         return left + right
     if (
         isinstance(where, BinaryOp)
-        and where.op in _COMPARISON_OPS
+        and where.op in _OPERATORS
         and isinstance(where.left, Column)
         and isinstance(where.right, Literal)
     ):
@@ -75,57 +91,83 @@ def _conjuncts(where: Optional[Expr]) -> Optional[list[tuple[str, str, object]]]
     return None
 
 
-def _compare(op: str, bound: object) -> Callable[[object], bool]:
-    """One-argument predicate with the row interpreter's NULL semantics:
-    ``=``/``!=`` are plain equality, ordered comparisons with NULL on
-    either side are false."""
-    if op == "=":
-        return lambda value: value == bound
-    if op == "!=":
-        return lambda value: value != bound
+#: Zone bounds are stored as floats; INT bounds beyond this magnitude
+#: may be rounded, so they cannot prove a predicate for every row.
+_EXACT_FLOAT_INT = 2**53
+
+Test = Callable[[list], list]
+
+
+def _vector_test(op: str, bound: object) -> Test:
+    """``column op bound`` over a whole value list at C speed, with the
+    row interpreter's NULL semantics: ``=``/``!=`` are plain equality,
+    ordered comparisons with NULL on either side are false."""
+    compare = _OPERATORS[op]
+    if op in ("=", "!="):
+        return lambda values: list(map(compare, values, repeat(bound)))
     if bound is None:
-        return lambda value: False
-    if op == "<":
-        return lambda value: value is not None and value < bound  # type: ignore[operator]
-    if op == "<=":
-        return lambda value: value is not None and value <= bound  # type: ignore[operator]
+        return lambda values: [False] * len(values)
+
+    def test(values: list) -> list:
+        if None in values:
+            return [value is not None and compare(value, bound) for value in values]
+        return list(map(compare, values, repeat(bound)))
+
+    return test
+
+
+def _zone_covers(op: str, bound: object, zone: Optional["Zone"]) -> bool:
+    """Whether an INT column's zone entry proves ``column op bound``
+    for every row of the block (no NULLs, all values in range)."""
+    if zone is None or not isinstance(bound, (int, float)):
+        return False
+    low, high, has_null = zone
+    if has_null or low < -_EXACT_FLOAT_INT or high > _EXACT_FLOAT_INT:
+        return False
+    if op == ">=":
+        return low >= bound
     if op == ">":
-        return lambda value: value is not None and value > bound  # type: ignore[operator]
-    return lambda value: value is not None and value >= bound  # type: ignore[operator]
+        return low > bound
+    if op == "<=":
+        return high <= bound
+    if op == "<":
+        return high < bound
+    if op == "=":
+        return low == high == bound
+    return bound < low or bound > high  # "!="
+
+
+class _Predicate(NamedTuple):
+    column: str
+    op: str
+    bound: object
+    test: Test
+    zoned: bool  # an INT column: its zone entry may cover the predicate
 
 
 def _block_selection(
     mask: bytes,
-    vectors: dict[str, "ColumnVector"],
-    conjuncts: list[tuple[str, str, object]],
-) -> list[bool]:
+    zones: dict[str, "Zone"],
+    vectors: "BlockVectors",
+    predicates: list[_Predicate],
+) -> Optional[list[bool]]:
     """Selection vector for one block: live under the deletion mask AND
-    every predicate — evaluated on the encoded vectors directly."""
-    selected = [byte == 0 for byte in mask]
-    for name, op, bound in conjuncts:
-        if not any(selected):
+    every predicate, evaluated on the encoded vectors directly.
+
+    ``None`` means every row is selected.  A predicate the block's zone
+    entry covers is skipped, and its column is not decoded for it.
+    """
+    selected = list(map(not_, mask)) if any(mask) else None
+    for predicate in predicates:
+        if predicate.zoned and _zone_covers(
+            predicate.op, predicate.bound, zones.get(predicate.column)
+        ):
+            continue
+        hits = vectors[predicate.column].select(predicate.test)
+        selected = hits if selected is None else list(map(and_, selected, hits))
+        if True not in selected:
             break
-        bools = vectors[name].pred_bools(_compare(op, bound))
-        selected = [keep and hit for keep, hit in zip(selected, bools)]
     return selected
-
-
-class _VectorAccumulator(_Accumulator):
-    """The shared accumulator, fed decoded values instead of rows."""
-
-    def add_value(self, value: object) -> None:
-        if isinstance(self.func.argument, Star):
-            self.count += 1
-            return
-        if value is None:
-            return  # SQL aggregates skip NULLs
-        self.count += 1
-        if isinstance(value, (int, float)):
-            self.total += value
-        if self.minimum is None or value < self.minimum:  # type: ignore[operator]
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:  # type: ignore[operator]
-            self.maximum = value
 
 
 def _referenced(select: Select) -> tuple[set[str], set[str], bool]:
@@ -179,33 +221,87 @@ def try_run_select_vectorized(
         if not names:
             names = list(table.column_names[:1])
 
+    types = dict(table.columns)
+    predicates = [
+        _Predicate(name, op, bound, _vector_test(op, bound), types[name] == "INT")
+        for name, op, bound in conjuncts
+    ]
     grouped = bool(select.group_by) or any(
         contains_aggregate(item.expr) for item in select.items
     )
-    ranges = _range_constraints(select.where)
-    blocks = table.scan_vector_blocks(names, ranges)
+    blocks = table.scan_vector_blocks(names, _range_constraints(select.where))
     if not grouped:
         rows: list[dict[str, object]] = []
-        for __, __, mask, vectors in blocks:
-            selected = _block_selection(mask, vectors, conjuncts)
-            if not any(selected):
+        for __, __, mask, zones, vectors in blocks:
+            selected = _block_selection(mask, zones, vectors, predicates)
+            if selected is not None and True not in selected:
                 continue
-            columns = {name: vectors[name].materialize() for name in names}
-            for i, keep in enumerate(selected):
-                if keep:
-                    rows.append({name: columns[name][i] for name in names})
+            columns = [vectors[name].materialize() for name in names]
+            if selected is not None:
+                columns = [list(compress(values, selected)) for values in columns]
+            rows.extend(map(dict, map(zip, repeat(names), zip(*columns))))
         # The WHERE is already applied; share projection / order / limit.
         return run_select(replace(select, where=None), rows)
 
-    return _run_grouped_vectorized(select, names, blocks, conjuncts)
+    return _run_grouped_vectorized(select, table, names, blocks, predicates)
+
+
+def _fold(accumulator: _Accumulator, values: list, type_name: str) -> None:
+    """Fold one group's non-NULL argument values from one block into
+    ``accumulator``, exactly as row-at-a-time ``_Accumulator.add``
+    would: REAL sums add left to right in row order (never builtin
+    ``sum``, which compensates float sums on Python 3.12), TEXT never
+    sums, and ``min``/``max`` keep the first of equal values."""
+    if not values:
+        return
+    accumulator.count += len(values)
+    name = accumulator.func.name
+    if name in ("sum", "avg"):
+        if type_name == "INT":
+            accumulator.total += sum(values)
+        elif type_name == "REAL":
+            accumulator.total = reduce(add, values, accumulator.total)
+    elif name == "min":
+        # Folding through the running value keeps ``add``'s exact
+        # comparison sequence (it matters for unordered values: NaN).
+        running = accumulator.minimum
+        accumulator.minimum = min(values if running is None else chain((running,), values))
+    elif name == "max":
+        running = accumulator.maximum
+        accumulator.maximum = max(values if running is None else chain((running,), values))
+
+
+def _partition(keys: Iterable, positions: Iterable[int]) -> dict[object, list[int]]:
+    """Positions bucketed by key, buckets in first-appearance order."""
+    buckets: dict[object, list[int]] = {}
+    for key, position in zip(keys, positions):
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [position]
+        else:
+            bucket.append(position)
+    return buckets
 
 
 def _run_grouped_vectorized(
     select: Select,
+    table: "ColumnTable",
     names: list[str],
     blocks,
-    conjuncts: list[tuple[str, str, object]],
+    predicates: list[_Predicate],
 ) -> Optional[list[dict[str, object]]]:
+    """GROUP BY / aggregates block-at-a-time.
+
+    Each block's selected positions are partitioned by group key once
+    (with no GROUP BY they all fall in the single ``()`` group, and no
+    key is built per row), then every (group, aggregate) pair is
+    reduced over its values with builtins.  Groups keep
+    first-appearance order, and a group's sample row — for
+    non-aggregate projections — is its first selected row, both as in
+    the row interpreter.
+    """
+    from repro.databases.minicolumn import _columns_of
+
     if any(isinstance(item.expr, Star) for item in select.items):
         return None  # the row path raises "* is not valid..."
     aggregates: dict[FuncCall, _Accumulator] = {}
@@ -213,46 +309,94 @@ def _run_grouped_vectorized(
         _collect_aggregates(item.expr, aggregates)
     for order in select.order_by:
         _collect_aggregates(order.expr, aggregates)
-    argument_columns: dict[FuncCall, Optional[str]] = {}
+    types = dict(table.columns)
+    # (argument column, its type) per aggregate; None for count(*).
+    plan: list[Optional[tuple[str, str]]] = []
     for func in aggregates:
         if isinstance(func.argument, Star):
             if func.name != "count":
                 return None  # row path raises the aggregate error
-            argument_columns[func] = None
+            plan.append(None)
         elif isinstance(func.argument, Column):
-            argument_columns[func] = func.argument.name
+            plan.append((func.argument.name, types[func.argument.name]))
         else:
             return None  # e.g. sum(a + b): row path handles it
 
     group_columns = [column.name for column in select.group_by]
-    groups: dict[tuple, tuple[dict[str, object], dict[FuncCall, _VectorAccumulator]]] = {}
-    for __, __, mask, vectors in blocks:
-        selected = _block_selection(mask, vectors, conjuncts)
-        if not any(selected):
+    sampled: set[str] = set()
+    for expr in [item.expr for item in select.items] + [o.expr for o in select.order_by]:
+        sampled |= _columns_of(expr)
+    sample_columns = [name for name in names if name in sampled]
+    groups: dict[tuple, tuple[dict[str, object], list[_Accumulator]]] = {}
+    for __, count, mask, zones, vectors in blocks:
+        selected = _block_selection(mask, zones, vectors, predicates)
+        if selected is not None and True not in selected:
             continue
-        columns = {name: vectors[name].materialize() for name in names}
-        for i, keep in enumerate(selected):
-            if not keep:
-                continue
-            key = tuple(columns[name][i] for name in group_columns)
+        materialized: dict[str, list] = {}
+
+        def column(name: str) -> list:
+            values = materialized.get(name)
+            if values is None:
+                values = materialized[name] = vectors[name].materialize()
+            return values
+
+        partitions: Iterable[tuple[tuple, Optional[list[int]]]]
+        if group_columns:
+            # One GROUP BY column buckets raw values: no per-row tuples.
+            single = len(group_columns) == 1
+            keys: Iterable = (
+                column(group_columns[0]) if single else zip(*map(column, group_columns))
+            )
+            positions: Iterable[int] = range(count)
+            if selected is not None:
+                keys, positions = compress(keys, selected), compress(positions, selected)
+            buckets = _partition(keys, positions)
+            if single:
+                partitions = (((key,), bucket) for key, bucket in buckets.items())
+            else:
+                partitions = buckets.items()  # type: ignore[assignment]
+        else:
+            partitions = [((), None)]  # every selected row, one group
+
+        for key, bucket in partitions:
             state = groups.get(key)
             if state is None:
-                state = (
-                    {name: columns[name][i] for name in names},
-                    {func: _VectorAccumulator(func) for func in aggregates},
-                )
-                groups[key] = state
-            for func, accumulator in state[1].items():
-                column = argument_columns[func]
-                accumulator.add_value(None if column is None else columns[column][i])
+                if bucket is not None:
+                    first = bucket[0]
+                else:
+                    first = 0 if selected is None else selected.index(True)
+                sample = {name: column(name)[first] for name in sample_columns}
+                state = groups[key] = (sample, [_Accumulator(func) for func in aggregates])
+            picked: dict[str, list] = {}
+            for argument, accumulator in zip(plan, state[1]):
+                if argument is None:  # count(*)
+                    if bucket is not None:
+                        accumulator.count += len(bucket)
+                    else:
+                        accumulator.count += (
+                            count if selected is None else selected.count(True)
+                        )
+                    continue
+                name, type_name = argument
+                values = picked.get(name)
+                if values is None:
+                    values = column(name)
+                    if bucket is not None:
+                        values = list(map(values.__getitem__, bucket))
+                    elif selected is not None:
+                        values = list(compress(values, selected))
+                    if None in values:  # SQL aggregates skip NULLs
+                        values = [value for value in values if value is not None]
+                    picked[name] = values
+                _fold(accumulator, values, type_name)
 
     if not groups and not group_columns:
         # Aggregate over an empty input still yields one row.
-        groups[()] = ({}, {func: _VectorAccumulator(func) for func in aggregates})
+        groups[()] = ({}, [_Accumulator(func) for func in aggregates])
 
     output: list[dict[str, object]] = []
     for key, (sample, accumulators) in groups.items():
-        results = {func: acc.result() for func, acc in accumulators.items()}
+        results = {acc.func: acc.result() for acc in accumulators}
         projected: dict[str, object] = {}
         for index, item in enumerate(select.items):
             projected[_item_name(item, index)] = _evaluate_with_aggregates(

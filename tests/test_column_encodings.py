@@ -37,7 +37,8 @@ from repro.databases.colcodec import (
     pack_bits,
     unpack_bits,
 )
-from repro.databases.minicolumn import MiniColumn
+from repro.databases.common import DatabaseError
+from repro.databases.minicolumn import MiniColumn, _ColumnFile
 from repro.fs import PassthroughFS
 
 
@@ -72,6 +73,47 @@ class TestBitPacking:
     def test_zero_width(self):
         assert pack_bits([0, 0, 0], 0) == b""
         assert unpack_bits(b"", 0, 3) == [0, 0, 0]
+
+
+# Counts around the 8-value lane group and the 64-value chunk; widths on
+# both sides of the lane/chunk switch, byte-aligned and not.
+_BOUNDARY_COUNTS = (0, 1, 63, 64, 65, 128, 129)
+_BOUNDARY_WIDTHS = (1, 7, 8, 10, 11, 13, 56)
+
+
+def _boundary_values(count, width):
+    """``count`` values filling ``width`` bits: all-ones, zero and a
+    spread of bit patterns in between."""
+    top = (1 << width) - 1
+    return [(top, 0)[i % 2] if i < 2 else (i * 0x9E3779B97F4A7C15) & top for i in range(count)]
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("width", _BOUNDARY_WIDTHS)
+    @pytest.mark.parametrize("count", _BOUNDARY_COUNTS)
+    def test_pack_round_trip(self, count, width):
+        values = _boundary_values(count, width)
+        packed = pack_bits(values, width)
+        # The format is one little-endian integer of ``count * width`` bits.
+        reference = sum(value << (i * width) for i, value in enumerate(values))
+        expected = reference.to_bytes((count * width + 7) // 8, "little") if count else b""
+        assert packed == expected
+        assert unpack_bits(packed, width, count) == values
+
+    @pytest.mark.parametrize("low", [-5, 0, 3], ids=["negative-low", "zero-low", "positive-low"])
+    @pytest.mark.parametrize("width", _BOUNDARY_WIDTHS)
+    @pytest.mark.parametrize("count", _BOUNDARY_COUNTS)
+    def test_delta_round_trip(self, count, width, low):
+        deltas = [low + value for value in _boundary_values(max(count - 1, 0), width)]
+        values = [1000]
+        for delta in deltas:
+            values.append(values[-1] + delta)
+        values = values[:count]
+        payload = encode_delta(values)
+        assert decode_delta(payload, count) == values
+        if count > 2:  # two or more deltas: the spread fixes the frame
+            assert payload[16] == width
+            assert int.from_bytes(payload[8:16], "little", signed=True) == low
 
 
 class TestCodecEdgeCases:
@@ -169,7 +211,7 @@ class TestCodecEdgeCases:
         assert vector.materialize() == values
         # A dictionary predicate evaluates each distinct entry once but
         # must produce the per-row answer.
-        wanted = vector.pred_bools(lambda v: v == "aa")
+        wanted = vector.select(lambda entries: [v == "aa" for v in entries])
         assert wanted == [v == "aa" for v in values]
 
 
@@ -205,6 +247,12 @@ class TestPicker:
 
 _INT_VALUES = st.one_of(st.none(), st.integers(-1000, 1000))
 _TEXT_VALUES = st.one_of(st.none(), st.sampled_from(["red", "green", "blue", "x"]))
+# -inf is the REAL NULL sentinel, and NaN never equals itself.
+_REAL_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([0.1, 0.25, -3.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
 
 
 @st.composite
@@ -212,7 +260,9 @@ def _workload(draw):
     batches = draw(
         st.lists(
             st.lists(
-                st.tuples(_INT_VALUES, _TEXT_VALUES), min_size=1, max_size=30
+                st.tuples(_INT_VALUES, _TEXT_VALUES, _REAL_VALUES),
+                min_size=1,
+                max_size=30,
             ),
             min_size=1,
             max_size=4,
@@ -237,14 +287,35 @@ _QUERIES = [
     "SELECT s, count(*) c, sum(v) sv, min(v) mn, max(v) mx FROM t GROUP BY s",
     "SELECT count(s) c, count(*) n FROM t",
     "SELECT id, v FROM t WHERE v != {lo} ORDER BY v DESC, id LIMIT 7",
+    "SELECT s, count(*) c, sum(v) sv, max(r) mr FROM t WHERE v >= {lo} GROUP BY s",
+    "SELECT s, v, count(*) c, sum(r) sr FROM t GROUP BY s, v",
+    "SELECT s, avg(v) av, avg(r) ar FROM t GROUP BY s",
+    "SELECT min(s) mn, max(s) mx, sum(s) ss, count(s) c FROM t WHERE v <= {hi}",
+    "SELECT s, min(s) mn, max(s) mx, sum(s) ss FROM t GROUP BY s",
+    "SELECT count(r) c, sum(r) sr, min(r) mn, max(r) mx, avg(r) ar FROM t",
+    "SELECT id, r FROM t WHERE r >= {lo} AND id >= 0 ORDER BY r, id",
+    "SELECT v, count(*) c, sum(r) sr FROM t WHERE id >= 0 AND id < 100000 GROUP BY v",
+    "SELECT s, count(*) c, sum(v) sv FROM t WHERE v > 5000 GROUP BY s",
+    "SELECT count(*) c, sum(v) sv, min(r) mn FROM t WHERE v > 5000",
+    "SELECT s, id, r, count(*) c FROM t WHERE v <= {hi} GROUP BY s",
+    "SELECT id, count(*) c FROM t WHERE v >= {lo}",
 ]
+
+
+def _outcome(db, sql):
+    """The query's rows, or the error it raised (both paths must agree
+    on errors too, e.g. a bare column over an empty aggregate)."""
+    try:
+        return db.execute(sql)
+    except DatabaseError as error:
+        return type(error), str(error)
 
 
 def _compare(dbs, bounds):
     lo, hi = bounds
     for query in _QUERIES:
         sql = query.format(lo=lo, hi=hi)
-        results = [db.execute(sql) for db in dbs]
+        results = [_outcome(db, sql) for db in dbs]
         assert results[0] == results[1], sql
 
 
@@ -255,7 +326,7 @@ def test_encoded_scan_equals_plain_scan(workload):
     dbs = []
     for encodings in (False, True):
         db = _column_db(encodings)
-        db.execute("CREATE TABLE t (id INT, v INT, s TEXT)")
+        db.execute("CREATE TABLE t (id INT, v INT, s TEXT, r REAL)")
         for batch in batches:
             db.table("t").insert_rows(batch)
         dbs.append(db)
@@ -280,8 +351,8 @@ def _workload_rows(workload):
     next_id = 0
     for batch in batches:
         batch_rows = []
-        for value, text in batch:
-            batch_rows.append({"id": next_id, "v": value, "s": text})
+        for value, text, real in batch:
+            batch_rows.append({"id": next_id, "v": value, "s": text, "r": real})
             next_id += 1
         rows.append(batch_rows)
     return rows, updates, deletes, bounds
@@ -380,3 +451,74 @@ class TestZoneWidening:
         entries = db.table("t")._files["id"].zone_entries()
         assert entries[0][4] is True
         assert db.execute("SELECT count(id) c FROM t")[0]["c"] == 199
+
+    def test_update_and_delete_scan_only_surviving_blocks(self, db, monkeypatch):
+        spans = []
+        read_ranges = _ColumnFile.read_ranges
+
+        def recording(column, requested):
+            spans.extend(requested)
+            return read_ranges(column, requested)
+
+        monkeypatch.setattr(_ColumnFile, "read_ranges", recording)
+        db.execute("UPDATE t SET v = 99 WHERE id = 30")
+        assert set(spans) == {(25, 25)}  # batch 1 only
+        spans.clear()
+        db.execute("DELETE FROM t WHERE id = 130")
+        assert set(spans) == {(125, 25)}  # batch 5 only
+        monkeypatch.undo()
+        assert db.execute("SELECT v FROM t WHERE id = 30") == [{"v": 99}]
+        assert db.execute("SELECT count(*) c FROM t") == [{"c": 199}]
+
+
+# ---------------------------------------------------------------------------
+# block kernels: predicates a zone entry proves true are skipped
+# ---------------------------------------------------------------------------
+
+class TestZoneCoveredPredicates:
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        encodings = []
+        decode_vector = colcodec.decode_vector
+
+        def recording(type_name, encoding, payload, count):
+            encodings.append(encoding)
+            return decode_vector(type_name, encoding, payload, count)
+
+        monkeypatch.setattr(colcodec, "decode_vector", recording)
+        return encodings
+
+    @staticmethod
+    def _table(encodings):
+        database = _column_db(encodings)
+        database.execute("CREATE TABLE t (id INT, v INT)")
+        for batch in range(3):
+            database.table("t").insert_rows(
+                [{"id": batch * 100 + i, "v": 7} for i in range(100)]
+            )
+        return database
+
+    @pytest.fixture
+    def db(self):
+        return self._table(True)
+
+    def test_covered_column_is_not_decoded(self, db, decoded):
+        rows = db.execute("SELECT count(*) c, sum(v) s FROM t WHERE id >= 0 AND id < 250")
+        assert rows == [{"c": 250, "s": 1750}]
+        # id (DELTA) is decoded only for rows 200..299, whose zone does
+        # not prove id < 250; v (RLE) is decoded for the sum everywhere.
+        assert decoded.count(DELTA) == 1
+        assert decoded.count(RLE) == 3
+
+    def test_nulls_and_deletes_still_filtered(self):
+        dbs = [self._table(False), self._table(True)]
+        for db in dbs:
+            db.execute("UPDATE t SET id = NULL WHERE id = 5")
+            db.execute("DELETE FROM t WHERE id = 150")
+        for sql in (
+            "SELECT count(*) c FROM t WHERE id >= 0",
+            "SELECT count(*) c FROM t WHERE id >= 0 AND id != 1000",
+            "SELECT count(*) c, sum(v) s FROM t WHERE id = 7 AND id <= 7",
+        ):
+            assert dbs[1].execute(sql) == dbs[0].execute(sql), sql
+        assert dbs[1].execute("SELECT count(*) c FROM t WHERE id >= 0") == [{"c": 298}]
